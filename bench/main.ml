@@ -12,6 +12,10 @@ open Bechamel
 module E = Midrr_experiments
 open Midrr_core
 
+(* The reference engine and the bespoke WFQ, kept test-only, are the
+   baselines the fast-path and PIFO rows are measured against. *)
+open Midrr_oracle
+
 let quick =
   Array.exists (fun a -> a = "--quick" || a = "-q") Sys.argv
 
@@ -660,7 +664,9 @@ let bench_par () =
     [ scenario "steady" scn_steady; scenario "churn" scn_churn ]
   in
   let all_seeds = Midrr_sim.Sweep.derived_seeds ~seed:42 8 in
-  let engines = [ Midrr_sim.Scenario.Engine_fast; Midrr_sim.Scenario.Engine_ref ] in
+  let engines =
+    [ Midrr_sim.Scenario.Engine_fast; Midrr_sim.Scenario.Engine_sharded 2 ]
+  in
   let rec take n = function
     | x :: rest when n > 0 -> x :: take (n - 1) rest
     | _ -> []

@@ -373,11 +373,10 @@ let top =
 (* Engine names parse to a tag first; [--shards] resolves [sharded] to
    its concrete [Engine_sharded n] at command time. *)
 let engine_tag_conv =
-  Arg.enum [ ("fast", `Fast); ("ref", `Ref); ("sharded", `Sharded) ]
+  Arg.enum [ ("fast", `Fast); ("sharded", `Sharded) ]
 
 let resolve_engine ~shards = function
   | `Fast -> Midrr_sim.Scenario.Engine_fast
-  | `Ref -> Midrr_sim.Scenario.Engine_ref
   | `Sharded ->
       if shards < 1 then failwith "--shards must be >= 1";
       Midrr_sim.Scenario.Engine_sharded shards
@@ -398,11 +397,9 @@ let engine =
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
           "DRR/miDRR engine implementation: $(b,fast) (the default \
-           O(active-flows) engine), $(b,ref) (the reference \
-           executable-specification engine) or $(b,sharded) (the fast \
-           engine partitioned across $(b,--shards) instances).  All \
-           produce identical schedules; $(b,ref) exists for \
-           cross-checking and benchmarking.")
+           O(active-flows) engine) or $(b,sharded) (the fast engine \
+           partitioned across $(b,--shards) instances).  Both produce \
+           identical schedules.")
 
 let sched_override =
   let parse s =
@@ -423,8 +420,7 @@ let sched_override =
     & info [ "sched" ] ~docv:"NAME"
         ~doc:
           "Override the scenario's $(b,scheduler) directive with discipline \
-           $(docv) (one of midrr, drr, wfq, rr, sprio, srpt, edf, lstf, \
-           pifo-wfq, pifo-rr).")
+           $(docv) (one of midrr, drr, wfq, rr, sprio, srpt, edf, lstf).")
 
 let run_cmd =
   Cmd.v
@@ -514,8 +510,8 @@ let sweep_engines =
     & opt (list engine_tag_conv) [ `Fast ]
     & info [ "engines" ] ~docv:"E1,E2"
         ~doc:
-          "Engines to cross into the grid: any of $(b,fast), $(b,ref) and \
-           $(b,sharded) ($(b,--shards) fixes the shard count).")
+          "Engines to cross into the grid: $(b,fast) and/or $(b,sharded) \
+           ($(b,--shards) fixes the shard count).")
 
 let sweep_cmd =
   Cmd.v

@@ -1,9 +1,9 @@
 (** Intrusive circular doubly-linked rings.
 
-    Like {!Ring}, but the prev/next/linked node state lives {e inside} the
-    element itself instead of in a separately allocated [Ring.node], so
-    linking and unlinking an element allocates nothing and needs no
-    [option] indirection on the hot path.  The fast DRR engine threads one
+    Like the test oracle's [Ring], but the prev/next/linked node state
+    lives {e inside} the element itself instead of in a separately
+    allocated node, so linking and unlinking an element allocates nothing
+    and needs no [option] indirection on the hot path.  The fast DRR engine threads one
     ring per interface through its per-(flow, interface) link records: only
     backlogged, flag-eligible flows are linked, which is what makes a
     scheduling decision O(active flows) rather than O(total flows).
@@ -12,7 +12,7 @@
     element's own (mutually recursive) type definition; the operations
     come from {!Make}, instantiated once the element type exists.
 
-    Ordering semantics are identical to {!Ring} — same head movement on
+    Ordering semantics are identical to [Ring] — same head movement on
     removal, same insert-before-head meaning of [push_back] — so an engine
     built on either structure visits flows in the same order. *)
 

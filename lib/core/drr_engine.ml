@@ -1,8 +1,9 @@
 (* The fast-path DRR/miDRR engine.
 
    Semantics are defined by [Drr_engine_ref] (the original
-   list-and-hashtable implementation, kept as the executable spec); this
-   module is the O(active) rewrite that the repository uses by default.
+   list-and-hashtable implementation, kept as the executable spec in
+   test/oracle); this module is the O(active) rewrite and the only DRR
+   engine the libraries ship.
    The differential suite (test/test_differential.ml) drives both engines
    in lockstep through randomized churn and requires identical serve
    sequences, deficits, flags and event streams, and the golden-trace test

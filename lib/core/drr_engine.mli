@@ -7,10 +7,11 @@
     decision costs O(active flows), independent of how many idle flows
     are registered.  Flow and interface ids must be non-negative (they
     index the slot arrays directly; ids are expected to be small and
-    dense).  Semantics are specified by {!Drr_engine_ref}, the original
-    list-and-hashtable implementation kept as the executable spec; the
-    differential and golden-trace suites hold the two engines to
-    identical serve sequences, deficits, flags and event streams.
+    dense).  Semantics are specified by [Drr_engine_ref], the original
+    list-and-hashtable implementation kept as the executable spec in the
+    test-only [midrr_oracle] library (test/oracle); the differential and
+    golden-trace suites hold the two engines to identical serve
+    sequences, deficits, flags and event streams.
 
     The paper's Table 1 presents miDRR as classic DRR with one line changed:
     the "advance to the next backlogged flow" step additionally consults a

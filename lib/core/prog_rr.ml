@@ -1,13 +1,14 @@
 (* Round robin as a Sched_prog program in [`All_flows] mode: rank is a
    per-interface monotone position counter, so "rank this flow" means
    "append it to the rotation", and skipping an ineligible flow moves it
-   to the back exactly as the reference [Rrobin] rotates its list.
+   to the back exactly as the reference [Rrobin] (test/oracle) rotates its
+   list.
    Positions are exact in a float far beyond any run length (2^53). *)
 
 module P = struct
   type t = { counters : (Types.iface_id, int ref) Hashtbl.t }
 
-  let name = "pifo-rr"
+  let name = "rr"
   let create () = { counters = Hashtbl.create 16 }
   let membership = `All_flows
 

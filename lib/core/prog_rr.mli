@@ -3,8 +3,10 @@
     Rank = a per-interface monotone position counter ("back of the
     rotation"); ineligible flows encountered during a lap are re-ranked
     to the back, eligible ones are served and re-ranked to the back.
-    Behaviorally identical to the reference {!Rrobin} (verified by
-    lockstep differential test). *)
+    This is the one shipped round robin: [rr] in scenario files and
+    [--sched] resolves here.  It is behaviorally identical to the
+    reference [Rrobin] kept in the test-only [midrr_oracle] library
+    (verified by lockstep differential test). *)
 
 include Sched_intf.S
 

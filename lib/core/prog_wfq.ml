@@ -1,8 +1,8 @@
 (* Per-interface weighted fair queueing as a Sched_prog program: the
    rank is the flow's finish tag F_ij, the floor is the interface's
    virtual time v_j, and service advances both exactly as the bespoke
-   [Wfq] does — the lockstep differential test holds the two equal on
-   full state and event streams. *)
+   [Wfq] in test/oracle does — the lockstep differential test holds the
+   two equal on full state and event streams. *)
 
 module P = struct
   type t = {
@@ -12,7 +12,7 @@ module P = struct
     finish : (Types.flow_id, (Types.iface_id, float) Hashtbl.t) Hashtbl.t;
   }
 
-  let name = "pifo-wfq"
+  let name = "wfq"
   let create () = { vtimes = Hashtbl.create 16; finish = Hashtbl.create 64 }
   let membership = `Backlogged
 

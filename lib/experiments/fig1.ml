@@ -53,8 +53,8 @@ let algorithms spec =
   [
     ("midrr", Midrr.packed (Midrr.create ()));
     ("drr-naive", Drr.packed (Drr.create ()));
-    ("wfq", Wfq.packed (Wfq.create ()));
-    ("round-robin", Rrobin.packed (Rrobin.create ()));
+    ("wfq", Prog_wfq.packed (Prog_wfq.create ()));
+    ("round-robin", Prog_rr.packed (Prog_rr.create ()));
     ( "oracle",
       Oracle.packed
         (Oracle.create

@@ -10,10 +10,10 @@ type t = {
 
 (* The hot-path set is every module on the per-decision path of the fast
    engine plus the obs sinks it feeds: one stray polymorphic primitive
-   here undoes the O(active) work of PR 2.  [Drr_engine_ref] is included
-   deliberately — it is the executable spec and keeps its polymorphic
-   sorts, but only through committed baseline entries, so any *new* use
-   still fails the gate.  [Pifo] and [Sched_prog] are the programmable
+   here undoes the O(active) work of PR 2.  The reference engine is not
+   in it: it is the executable spec, lives in the test-only oracle
+   library under test/ (which the gate does not scan) and may keep its
+   polymorphic sorts.  [Pifo] and [Sched_prog] are the programmable
    substrate's per-decision path and join with no baseline entries, as
    do the netcalc curve algebra ([curve]/[arrival]/[service]/[bound],
    evaluated per flow inside sweeps) and the [delay] sink (fed per
@@ -28,7 +28,6 @@ let default =
     hot_path_modules =
       [
         "lib/core/drr_engine";
-        "lib/core/drr_engine_ref";
         "lib/core/pifo";
         "lib/core/sched_prog";
         "lib/core/active_ring";

@@ -1,11 +1,12 @@
 (** The typed scheduler-event stream.
 
     Every observable state change in a scheduler or platform substrate is
-    one constructor of {!t}.  Producers ({!Midrr_core.Drr_engine}, [Wfq],
-    [Rrobin], [Oracle], the simulator, the bridge, the HTTP proxy) emit
-    into an optional sink; consumers (ring-buffer recorder, per-cell
-    counters, the fairness monitor, the JSONL exporter) subscribe to the
-    one stream instead of polling three incompatible substrates.
+    one constructor of {!t}.  Producers ({!Midrr_core.Drr_engine}, the
+    PIFO rank programs, [Oracle], the simulator, the bridge, the HTTP
+    proxy) emit into an optional sink; consumers (ring-buffer recorder,
+    per-cell counters, the fairness monitor, the JSONL exporter)
+    subscribe to the one stream instead of polling three incompatible
+    substrates.
 
     Flow and interface identifiers are plain [int]s so this library stays
     dependency-free; they are the same values as

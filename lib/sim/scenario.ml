@@ -17,8 +17,6 @@ type sched_spec =
   | Sched_srpt
   | Sched_edf
   | Sched_lstf
-  | Sched_pifo_wfq
-  | Sched_pifo_rr
 
 (* The discipline registry: every name accepted by `scheduler NAME` in a
    scenario file and by `--sched NAME` on the CLI.  "midrr" carries its
@@ -33,8 +31,6 @@ let sched_names =
     "srpt";
     "edf";
     "lstf";
-    "pifo-wfq";
-    "pifo-rr";
   ]
 
 let sched_of_name = function
@@ -46,8 +42,6 @@ let sched_of_name = function
   | "srpt" -> Some Sched_srpt
   | "edf" -> Some Sched_edf
   | "lstf" -> Some Sched_lstf
-  | "pifo-wfq" -> Some Sched_pifo_wfq
-  | "pifo-rr" -> Some Sched_pifo_rr
   | _ -> None
 
 let sched_name = function
@@ -59,8 +53,6 @@ let sched_name = function
   | Sched_srpt -> "srpt"
   | Sched_edf -> "edf"
   | Sched_lstf -> "lstf"
-  | Sched_pifo_wfq -> "pifo-wfq"
-  | Sched_pifo_rr -> "pifo-rr"
 
 type event =
   | E_weight of string * float
@@ -98,9 +90,15 @@ type report = {
 
 (* --- value parsing ------------------------------------------------------- *)
 
+(* Every number a scenario accepts is finite: [float_of_string] takes
+   "nan" and "inf", which would poison rates or never let the event loop
+   reach the horizon. *)
+let finite v = if Float.is_finite v then Some v else None
+let finite_float s = Option.bind (float_of_string_opt s) finite
+
 let parse_suffixed ~suffixes s =
   let rec try_suffixes = function
-    | [] -> Option.map (fun v -> v) (float_of_string_opt s)
+    | [] -> finite_float s
     | (suffix, scale) :: rest ->
         if
           String.length s > String.length suffix
@@ -110,7 +108,7 @@ let parse_suffixed ~suffixes s =
                  suffix)
         then
           let body = String.sub s 0 (String.length s - String.length suffix) in
-          Option.map (fun v -> v *. scale) (float_of_string_opt body)
+          Option.bind (finite_float body) (fun v -> finite (v *. scale))
         else try_suffixes rest
   in
   try_suffixes suffixes
@@ -118,9 +116,14 @@ let parse_suffixed ~suffixes s =
 let parse_rate s =
   parse_suffixed ~suffixes:[ ("kb", 1e3); ("Mb", 1e6); ("Gb", 1e9) ] s
 
+(* Byte counts must also fit an [int]. *)
 let parse_bytes s =
-  Option.map int_of_float
+  Option.bind
     (parse_suffixed ~suffixes:[ ("kB", 1e3); ("MB", 1e6); ("GB", 1e9) ] s)
+    (fun v -> if Float.abs v < 0x1p62 then Some (int_of_float v) else None)
+
+let parse_iface_id s =
+  Option.bind (int_of_string_opt s) (fun j -> if j >= 0 then Some j else None)
 
 let field key tokens =
   List.find_map
@@ -146,20 +149,27 @@ type directive =
 let err lineno fmt = Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
 
 let parse_iface lineno tokens =
+  let profile id make =
+    match parse_iface_id id with
+    | None -> err lineno "bad interface id %S (want an integer >= 0)" id
+    | Some id -> (
+        try Ok (D_iface (id, make ()))
+        with Invalid_argument m -> err lineno "%s" m)
+  in
   match tokens with
   | [ id; "constant"; rate ] -> (
-      match (int_of_string_opt id, parse_rate rate) with
-      | Some id, Some r -> Ok (D_iface (id, Link.constant r))
-      | _ -> err lineno "bad iface constant")
+      match parse_rate rate with
+      | Some r -> profile id (fun () -> Link.constant r)
+      | None -> err lineno "bad iface constant")
   | id :: "steps" :: initial :: changes -> (
-      match (int_of_string_opt id, parse_rate initial) with
-      | Some id, Some r0 -> (
+      match parse_rate initial with
+      | Some r0 ->
           let parsed =
             List.map
               (fun c ->
                 match String.split_on_char ':' c with
                 | [ at; rate ] -> (
-                    match (float_of_string_opt at, parse_rate rate) with
+                    match (finite_float at, parse_rate rate) with
                     | Some a, Some r -> Some (a, r)
                     | _ -> None)
                 | _ -> None)
@@ -167,9 +177,9 @@ let parse_iface lineno tokens =
           in
           if List.exists Option.is_none parsed then err lineno "bad step"
           else
-            try Ok (D_iface (id, Link.steps ~initial:r0 (List.filter_map Fun.id parsed)))
-            with Invalid_argument m -> err lineno "%s" m)
-      | _ -> err lineno "bad iface steps")
+            profile id (fun () ->
+                Link.steps ~initial:r0 (List.filter_map Fun.id parsed))
+      | None -> err lineno "bad iface steps")
   | _ -> err lineno "bad iface directive"
 
 let parse_source lineno tokens =
@@ -212,42 +222,71 @@ let parse_flow lineno tokens =
       let weight =
         match field "weight" rest with
         | None -> Some 1.0
-        | Some w -> float_of_string_opt w
+        | Some w -> finite_float w
       in
       let ifaces =
         Option.map
-          (fun s ->
-            List.filter_map int_of_string_opt (String.split_on_char ',' s))
+          (fun s -> List.map parse_iface_id (String.split_on_char ',' s))
           (field "ifaces" rest)
       in
       match (weight, ifaces) with
-      | Some w, Some ifaces when w > 0.0 && ifaces <> [] ->
-          Result.map
-            (fun source ->
-              D_flow { fs_name = name; fs_weight = w; fs_ifaces = ifaces; fs_source = source })
-            (parse_source lineno rest)
+      | Some w, Some ifaces when w > 0.0 -> (
+          match List.filter_map Fun.id ifaces with
+          | ids when List.length ids < List.length ifaces ->
+              err lineno "bad ifaces= entry (want interface ids >= 0)"
+          | ids when List.length (List.sort_uniq Int.compare ids) < List.length ids
+            ->
+              err lineno "ifaces= lists an interface twice"
+          | ids ->
+              Result.map
+                (fun source ->
+                  D_flow
+                    {
+                      fs_name = name;
+                      fs_weight = w;
+                      fs_ifaces = ids;
+                      fs_source = source;
+                    })
+                (parse_source lineno rest))
       | _ -> err lineno "flow needs weight>0 and ifaces=I[,J...]")
   | [] -> err lineno "flow needs a name"
 
 let parse_at lineno tokens =
   match tokens with
   | time :: rest -> (
-      match (float_of_string_opt time, rest) with
+      match (finite_float time, rest) with
+      | Some at, _ when at < 0.0 -> err lineno "at time must be >= 0"
       | Some at, [ "weight"; name; w ] -> (
-          match float_of_string_opt w with
+          match finite_float w with
           | Some w when w > 0.0 -> Ok (D_at (at, E_weight (name, w)))
           | _ -> err lineno "bad weight value")
       | Some at, [ "allow"; name; iface ] -> (
-          match int_of_string_opt iface with
+          match parse_iface_id iface with
           | Some j -> Ok (D_at (at, E_allow (name, j)))
           | None -> err lineno "bad interface id")
       | Some at, [ "deny"; name; iface ] -> (
-          match int_of_string_opt iface with
+          match parse_iface_id iface with
           | Some j -> Ok (D_at (at, E_deny (name, j)))
           | None -> err lineno "bad interface id")
       | Some at, [ "stop"; name ] -> Ok (D_at (at, E_stop name))
       | _ -> err lineno "bad at directive")
   | [] -> err lineno "at needs a time"
+
+let parse_sched lineno = function
+  | [ "midrr" ] -> Ok (D_sched (Sched_midrr None))
+  | [ "midrr"; opt ] -> (
+      match Option.bind (field "counter" [ opt ]) int_of_string_opt with
+      | Some k when k >= 1 -> Ok (D_sched (Sched_midrr (Some k)))
+      | _ -> err lineno "bad midrr option %S (want counter=K, K >= 1)" opt)
+  | [ name ] -> (
+      match sched_of_name name with
+      | Some s -> Ok (D_sched s)
+      | None ->
+          err lineno "unknown scheduler %S (valid: %s)" name
+            (String.concat ", " sched_names))
+  | _ ->
+      err lineno "unknown scheduler (valid: %s)"
+        (String.concat ", " sched_names)
 
 let parse_line lineno line =
   let stripped = String.trim line in
@@ -258,37 +297,95 @@ let parse_line lineno line =
     in
     let result =
       match tokens with
-      | "scheduler" :: rest -> (
-          match rest with
-          | "midrr" :: opts ->
-              let counter =
-                Option.bind (field "counter" opts) int_of_string_opt
-              in
-              Ok (D_sched (Sched_midrr counter))
-          | [ name ] -> (
-              match sched_of_name name with
-              | Some s -> Ok (D_sched s)
-              | None ->
-                  err lineno "unknown scheduler %S (valid: %s)" name
-                    (String.concat ", " sched_names))
-          | _ ->
-              err lineno "unknown scheduler (valid: %s)"
-                (String.concat ", " sched_names))
+      | "scheduler" :: rest -> parse_sched lineno rest
       | "iface" :: rest -> parse_iface lineno rest
       | "flow" :: rest -> parse_flow lineno rest
       | "at" :: rest -> parse_at lineno rest
       | [ "measure"; t0; t1 ] -> (
-          match (float_of_string_opt t0, float_of_string_opt t1) with
-          | Some a, Some b when b > a -> Ok (D_measure (a, b))
+          match (finite_float t0, finite_float t1) with
+          | Some a, Some b when 0.0 <= a && b > a -> Ok (D_measure (a, b))
           | _ -> err lineno "bad measure window")
       | [ "run"; horizon ] -> (
-          match float_of_string_opt horizon with
+          match finite_float horizon with
           | Some h when h > 0.0 -> Ok (D_run h)
           | _ -> err lineno "bad run horizon")
       | d :: _ -> err lineno "unknown directive %S" d
       | [] -> err lineno "empty directive"
     in
     Result.map (fun d -> Some d) result
+
+(* --- cross-line checks ---------------------------------------------------- *)
+
+exception Rejected of string
+
+let reject lineno fmt =
+  Printf.ksprintf
+    (fun m -> raise (Rejected (Printf.sprintf "line %d: %s" lineno m)))
+    fmt
+
+(* What no single line can check: every interface and flow is declared
+   once, every reference names a declaration (anywhere in the file),
+   nothing happens to a flow after its [stop], and every measure window
+   ends by the horizon.  Raises [Rejected]. *)
+let check_references directives ~horizon =
+  let ifaces = Hashtbl.create 8 and flows = Hashtbl.create 8 in
+  List.iter
+    (fun (lineno, d) ->
+      match d with
+      | D_iface (id, _) ->
+          if Hashtbl.mem ifaces id then
+            reject lineno "interface %d declared twice" id;
+          Hashtbl.replace ifaces id ()
+      | D_flow f ->
+          if Hashtbl.mem flows f.fs_name then
+            reject lineno "flow %S declared twice" f.fs_name;
+          Hashtbl.replace flows f.fs_name ()
+      | D_sched _ | D_at _ | D_measure _ | D_run _ -> ())
+    directives;
+  let iface lineno j =
+    if not (Hashtbl.mem ifaces j) then
+      reject lineno "undeclared interface %d" j
+  in
+  let flow lineno name =
+    if not (Hashtbl.mem flows name) then reject lineno "unknown flow %S" name
+  in
+  (* Events run in time order, file order on ties; a flow's first stop in
+     that order removes it. *)
+  let in_run_order =
+    List.stable_sort
+      (fun (a, _, _) (b, _, _) -> Float.compare a b)
+      (List.filter_map
+         (function lineno, D_at (at, e) -> Some (at, lineno, e) | _ -> None)
+         directives)
+  in
+  let stopped = Hashtbl.create 8 in
+  List.iter
+    (fun (at, lineno, e) ->
+      let name =
+        match e with
+        | E_weight (name, _) | E_stop name -> name
+        | E_allow (name, j) | E_deny (name, j) ->
+            iface lineno j;
+            name
+      in
+      flow lineno name;
+      (match Hashtbl.find_opt stopped name with
+      | Some (line, t) ->
+          reject lineno "flow %S is already stopped at %g (line %d)" name t
+            line
+      | None -> ());
+      match e with
+      | E_stop _ -> Hashtbl.replace stopped name (lineno, at)
+      | E_weight _ | E_allow _ | E_deny _ -> ())
+    in_run_order;
+  List.iter
+    (fun (lineno, d) ->
+      match d with
+      | D_flow f -> List.iter (iface lineno) f.fs_ifaces
+      | D_measure (_, t1) when t1 > horizon ->
+          reject lineno "measure window ends after the run horizon %g" horizon
+      | D_sched _ | D_iface _ | D_at _ | D_measure _ | D_run _ -> ())
+    directives
 
 let parse text =
   let lines = String.split_on_char '\n' text in
@@ -297,18 +394,18 @@ let parse text =
     | line :: rest -> (
         match parse_line lineno line with
         | Ok None -> go (lineno + 1) acc rest
-        | Ok (Some d) -> go (lineno + 1) (d :: acc) rest
+        | Ok (Some d) -> go (lineno + 1) ((lineno, d) :: acc) rest
         | Error e -> Error e)
   in
   match go 1 [] lines with
   | Error e -> Error e
-  | Ok directives ->
+  | Ok directives -> (
       let sched = ref (Sched_midrr None) in
       let ifaces = ref [] and flow_specs = ref [] in
       let events = ref [] and measure_windows = ref [] in
       let horizon = ref None in
       List.iter
-        (fun d ->
+        (fun (_, d) ->
           match d with
           | D_sched s -> sched := s
           | D_iface (id, profile) -> ifaces := (id, profile) :: !ifaces
@@ -319,19 +416,22 @@ let parse text =
         directives;
       match !horizon with
       | None -> Error "missing 'run T' directive"
-      | Some horizon ->
+      | Some horizon -> (
           if !ifaces = [] then Error "no interfaces declared"
           else if !flow_specs = [] then Error "no flows declared"
           else
-            Ok
-              {
-                sched = !sched;
-                ifaces = List.rev !ifaces;
-                flow_specs = List.rev !flow_specs;
-                events = List.rev !events;
-                measure_windows = List.rev !measure_windows;
-                horizon;
-              }
+            match check_references directives ~horizon with
+            | exception Rejected e -> Error e
+            | () ->
+                Ok
+                  {
+                    sched = !sched;
+                    ifaces = List.rev !ifaces;
+                    flow_specs = List.rev !flow_specs;
+                    events = List.rev !events;
+                    measure_windows = List.rev !measure_windows;
+                    horizon;
+                  }))
 
 (* --- introspection -------------------------------------------------------- *)
 
@@ -343,37 +443,27 @@ let has_events t = t.events <> []
 
 (* --- execution --------------------------------------------------------------- *)
 
-type engine = Engine_fast | Engine_ref | Engine_sharded of int
+type engine = Engine_fast | Engine_sharded of int
 
 let make_sched ?(engine = Engine_fast) spec =
   match (spec, engine) with
   | Sched_midrr counter, Engine_fast ->
       Midrr.packed (Midrr.create ?counter_max:counter ())
-  | Sched_midrr counter, Engine_ref ->
-      Sched_intf.Packed
-        ( (module Drr_engine_ref),
-          Drr_engine_ref.create ?counter_max:counter
-            Drr_engine_ref.Service_flags )
   | Sched_midrr counter, Engine_sharded n ->
       Sched_intf.Packed
         ( (module Shard_engine),
           Shard_engine.create ?counter_max:counter ~shards:n
             Drr_engine.Service_flags )
   | Sched_drr, Engine_fast -> Drr.packed (Drr.create ())
-  | Sched_drr, Engine_ref ->
-      Sched_intf.Packed
-        ((module Drr_engine_ref), Drr_engine_ref.create Drr_engine_ref.Plain)
   | Sched_drr, Engine_sharded n ->
       Sched_intf.Packed
         ((module Shard_engine), Shard_engine.create ~shards:n Drr_engine.Plain)
-  | Sched_wfq, _ -> Wfq.packed (Wfq.create ())
-  | Sched_rr, _ -> Rrobin.packed (Rrobin.create ())
+  | Sched_wfq, _ -> Prog_wfq.packed (Prog_wfq.create ())
+  | Sched_rr, _ -> Prog_rr.packed (Prog_rr.create ())
   | Sched_sprio, _ -> Prog_sprio.packed (Prog_sprio.create ())
   | Sched_srpt, _ -> Prog_srpt.packed (Prog_srpt.create ())
   | Sched_edf, _ -> Prog_edf.packed (Prog_edf.create ())
   | Sched_lstf, _ -> Prog_lstf.packed (Prog_lstf.create ())
-  | Sched_pifo_wfq, _ -> Prog_wfq.packed (Prog_wfq.create ())
-  | Sched_pifo_rr, _ -> Prog_rr.packed (Prog_rr.create ())
 
 let run ?sink ?metrics ?spans ?ticks ?seed ?engine ?sched t =
   let sched =

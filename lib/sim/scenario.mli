@@ -34,7 +34,8 @@
     - [run T]: the horizon (required, last).
 
     Rates accept [kb]/[Mb]/[Gb] suffixes (bits/s); byte sizes accept
-    [kB]/[MB]/[GB]. *)
+    [kB]/[MB]/[GB].  Every number must be finite, rates and times
+    non-negative, and interface ids integers [>= 0]. *)
 
 type t
 (** A parsed scenario. *)
@@ -63,14 +64,14 @@ type sched_spec =
   | Sched_midrr of int option
   | Sched_drr
   | Sched_wfq
+      (** per-interface WFQ over the PIFO substrate
+          ({!Midrr_core.Prog_wfq}) *)
   | Sched_rr
+      (** round robin over the PIFO substrate ({!Midrr_core.Prog_rr}) *)
   | Sched_sprio  (** strict priority ({!Midrr_core.Prog_sprio}) *)
   | Sched_srpt  (** shortest remaining backlog ({!Midrr_core.Prog_srpt}) *)
   | Sched_edf  (** earliest deadline first ({!Midrr_core.Prog_edf}) *)
   | Sched_lstf  (** least slack time first ({!Midrr_core.Prog_lstf}) *)
-  | Sched_pifo_wfq  (** WFQ over the PIFO substrate ({!Midrr_core.Prog_wfq}) *)
-  | Sched_pifo_rr
-      (** round robin over the PIFO substrate ({!Midrr_core.Prog_rr}) *)
 
 val sched_names : string list
 (** Every discipline name accepted by [scheduler NAME] and [--sched]. *)
@@ -98,17 +99,19 @@ type report = {
 type engine =
   | Engine_fast
       (** the default O(active) engine ({!Midrr_core.Drr_engine}) *)
-  | Engine_ref
-      (** the reference list-and-hashtable engine
-          ({!Midrr_core.Drr_engine_ref}) — the executable spec, selectable
-          with [midrr run --engine ref] *)
   | Engine_sharded of int
       (** the fast engine partitioned across the given number of shards
           ({!Midrr_core.Shard_engine}, routed inline) — selectable with
           [midrr run --engine sharded --shards N] *)
 
 val parse : string -> (t, string) result
-(** Parse scenario text; the error names the offending line. *)
+(** Parse scenario text; the error names the offending line.  Besides
+    malformed lines, parsing rejects a duplicate interface or flow
+    declaration, a reference to an undeclared interface or flow (a
+    declaration may come later in the file), an [ifaces=] list naming an
+    interface twice, any event on a flow after its [stop], and a
+    [measure] window that ends after the horizon — so a parsed scenario
+    always runs to its horizon. *)
 
 (** {1 Introspection}
 

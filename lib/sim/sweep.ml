@@ -16,7 +16,6 @@ type outcome = {
 
 let engine_name = function
   | Scenario.Engine_fast -> "fast"
-  | Scenario.Engine_ref -> "ref"
   | Scenario.Engine_sharded n -> Printf.sprintf "sharded%d" n
 
 (* Scenario-major, then seed, then engine: the grid order is part of the

@@ -19,7 +19,7 @@ type point = {
 type outcome = {
   p_label : string;
   p_seed : int;
-  p_engine : string;  (** ["fast"], ["ref"] or ["sharded<N>"] *)
+  p_engine : string;  (** ["fast"] or ["sharded<N>"] *)
   p_sched : string option;  (** the override's registry name, if any *)
   rendered : string;  (** the point's report, rendered under a header *)
 }

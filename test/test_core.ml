@@ -1,6 +1,7 @@
 (* Tests for the core data structures, baselines and the fluid reference. *)
 
 open Midrr_core
+open Midrr_oracle
 
 let close ?(tol = 1e-9) what expected got =
   if Float.abs (expected -. got) > tol then
@@ -163,8 +164,8 @@ let test_prefs_to_instance () =
 (* --- Metrics ----------------------------------------------------------------- *)
 
 let test_fm_definition () =
-  close "fm" 2.5 (Metrics.fm ~s_i:10.0 ~phi_i:2.0 ~s_j:5.0 ~phi_j:2.0);
-  close "weighted fm" 0.0 (Metrics.fm ~s_i:10.0 ~phi_i:2.0 ~s_j:5.0 ~phi_j:1.0)
+  close "fm" 2.5 (Fairness.fm ~s_i:10.0 ~phi_i:2.0 ~s_j:5.0 ~phi_j:2.0);
+  close "weighted fm" 0.0 (Fairness.fm ~s_i:10.0 ~phi_i:2.0 ~s_j:5.0 ~phi_j:1.0)
 
 let test_metrics_window () =
   let m = Midrr.create () in
@@ -179,8 +180,8 @@ let test_metrics_window () =
   for _ = 1 to 5 do
     ignore (Drr_engine.next_packet m 0)
   done;
-  let window = Metrics.start sched in
-  Alcotest.(check int) "zero at open" 0 (Metrics.service_since window sched 1);
+  let window = Fairness.start sched in
+  Alcotest.(check int) "zero at open" 0 (Fairness.service_since window sched 1);
   for _ = 1 to 10 do
     ignore (Drr_engine.enqueue m (pkt ~flow:2 500))
   done;
@@ -190,14 +191,14 @@ let test_metrics_window () =
     | Some p -> popped := !popped + p.size
     | None -> ()
   done;
-  let s1 = Metrics.service_since window sched 1
-  and s2 = Metrics.service_since window sched 2 in
+  let s1 = Fairness.service_since window sched 1
+  and s2 = Fairness.service_since window sched 2 in
   (* The window sees exactly the in-window service, not the 5 packets
      served before it opened. *)
   Alcotest.(check int) "window totals" !popped (s1 + s2);
   close "fm over window"
     ((Float.of_int s1 /. 1.0) -. (Float.of_int s2 /. 1.0))
-    (Metrics.fm_between window sched ~phi:(fun _ -> 1.0) ~i:1 ~j:2)
+    (Fairness.fm_between window sched ~phi:(fun _ -> 1.0) ~i:1 ~j:2)
 
 (* --- WFQ ---------------------------------------------------------------------- *)
 

@@ -12,7 +12,7 @@
    observable, which is enough to replay deterministically. *)
 
 module F = Midrr_core.Drr_engine
-module R = Midrr_core.Drr_engine_ref
+module R = Midrr_oracle.Drr_engine_ref
 module Packet = Midrr_core.Packet
 module Event = Midrr_obs.Event
 

@@ -2,9 +2,10 @@
 
    [golden/fig6_trace_prefix.jsonl.gz] is the first 2500 lines of
    `midrr run scenarios/fig6.scn --trace` as emitted when the trace
-   format and the reference engine were frozen.  Both engines must
-   reproduce it byte for byte: the trace carries every enqueue, turn,
-   flag reset and serve (with its post-serve deficit), so any change to
+   format and the reference engine were frozen.  The shipped engines and
+   the reference engine (from the test oracle) must all reproduce it
+   byte for byte: the trace carries every enqueue, turn, flag reset and
+   serve (with its post-serve deficit), so any change to
    scheduling order, deficit arithmetic or the JSONL schema shows up as
    a divergent line.  On mismatch the failure prints the first divergent
    event of each stream, which names the flow/interface and step where
@@ -30,9 +31,13 @@ let read_golden () =
   if lines = [] then Alcotest.failf "empty golden trace %s" golden_path;
   lines
 
+(* Which implementation runs the scenario: a shipped engine, or the
+   reference implementation of its discipline from the test oracle. *)
+type impl = Engine of Midrr_sim.Scenario.engine | Reference
+
 (* Capture the first [limit] trace lines of a scenario run, formatted
    exactly as `midrr run --trace` writes them. *)
-let trace_prefix ~engine ~limit =
+let trace_prefix impl ~limit =
   let text = In_channel.with_open_text scenario_path In_channel.input_all in
   let lines = ref [] and count = ref 0 in
   let sink ~time ev =
@@ -41,14 +46,21 @@ let trace_prefix ~engine ~limit =
       incr count
     end
   in
-  (match Midrr_sim.Scenario.run_text ~sink ~engine text with
-  | Ok _ -> ()
+  (match Midrr_sim.Scenario.parse text with
+  | Ok scenario -> (
+      match impl with
+      | Engine engine -> ignore (Midrr_sim.Scenario.run ~sink ~engine scenario)
+      | Reference ->
+          ignore
+            (Midrr_sim.Scenario.run ~sink
+               ~sched:(Midrr_oracle.Reference.sched_of scenario)
+               scenario))
   | Error e -> Alcotest.failf "scenario error: %s" e);
   List.rev !lines
 
-let check_against_golden name engine () =
+let check_against_golden name impl () =
   let golden = read_golden () in
-  let got = trace_prefix ~engine ~limit:(List.length golden) in
+  let got = trace_prefix impl ~limit:(List.length golden) in
   let rec compare i = function
     | [], [] -> ()
     | g :: _, [] ->
@@ -66,12 +78,12 @@ let check_against_golden name engine () =
   in
   compare 1 (golden, got)
 
-(* The two engines must also agree with each other over a much longer
-   horizon than the committed prefix. *)
+(* The fast and reference engines must also agree with each other over a
+   much longer horizon than the committed prefix. *)
 let engines_agree () =
   let limit = 50_000 in
-  let fast = trace_prefix ~engine:Midrr_sim.Scenario.Engine_fast ~limit in
-  let refe = trace_prefix ~engine:Midrr_sim.Scenario.Engine_ref ~limit in
+  let fast = trace_prefix (Engine Midrr_sim.Scenario.Engine_fast) ~limit in
+  let refe = trace_prefix Reference ~limit in
   let rec compare i = function
     | [], [] -> ()
     | g :: _, [] | [], g :: _ ->
@@ -91,15 +103,16 @@ let () =
       ( "fig6 trace",
         [
           Alcotest.test_case "fast engine matches golden" `Quick
-            (check_against_golden "fast" Midrr_sim.Scenario.Engine_fast);
+            (check_against_golden "fast"
+               (Engine Midrr_sim.Scenario.Engine_fast));
           Alcotest.test_case "ref engine matches golden" `Quick
-            (check_against_golden "ref" Midrr_sim.Scenario.Engine_ref);
+            (check_against_golden "ref" Reference);
           Alcotest.test_case "sharded engine (shards=1) matches golden" `Quick
             (check_against_golden "sharded1"
-               (Midrr_sim.Scenario.Engine_sharded 1));
+               (Engine (Midrr_sim.Scenario.Engine_sharded 1)));
           Alcotest.test_case "sharded engine (shards=4) matches golden" `Quick
             (check_against_golden "sharded4"
-               (Midrr_sim.Scenario.Engine_sharded 4));
+               (Engine (Midrr_sim.Scenario.Engine_sharded 4)));
           Alcotest.test_case "engines agree beyond the prefix" `Quick
             engines_agree;
         ] );

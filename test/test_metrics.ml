@@ -304,14 +304,16 @@ let test_prometheus_file_export () =
 (* The load-bearing property of "always-on": attaching the full
    telemetry plane (busmetrics fold + span probes) to a scenario run
    must leave the scheduler-event stream byte-identical.  Same pattern
-   as test_golden's prefix capture, fig6 under both engines. *)
+   as test_golden's prefix capture, fig6 under the fast engine and under
+   the reference engine from the test oracle.  [build scenario] makes
+   the scheduler the run uses. *)
 let scenario_path =
   (* `dune runtest` runs from the test directory, `dune exec` from the
      project root; accept either. *)
   if Sys.file_exists "../scenarios/fig6.scn" then "../scenarios/fig6.scn"
   else "scenarios/fig6.scn"
 
-let trace_prefix ?metrics ?spans ~engine ~limit () =
+let trace_prefix ?metrics ?spans ~build ~limit () =
   let text = In_channel.with_open_text scenario_path In_channel.input_all in
   let lines = ref [] and count = ref 0 in
   let sink ~time ev =
@@ -320,17 +322,23 @@ let trace_prefix ?metrics ?spans ~engine ~limit () =
       incr count
     end
   in
-  (match Midrr_sim.Scenario.run_text ~sink ?metrics ?spans ~engine text with
-  | Ok _ -> ()
+  (match Midrr_sim.Scenario.parse text with
+  | Ok scenario ->
+      ignore
+        (Midrr_sim.Scenario.run ~sink ?metrics ?spans ~sched:(build scenario)
+           scenario)
   | Error e -> Alcotest.failf "scenario error: %s" e);
   List.rev !lines
 
-let test_telemetry_does_not_perturb engine () =
+let fast_engine scenario () =
+  Midrr_sim.Scenario.make_sched (Midrr_sim.Scenario.sched_spec scenario)
+
+let test_telemetry_does_not_perturb build () =
   let limit = 5_000 in
-  let bare = trace_prefix ~engine ~limit () in
+  let bare = trace_prefix ~build ~limit () in
   let m = Busmetrics.create () in
   let s = Span.create ~clock:(fake_clock ()) () in
-  let instrumented = trace_prefix ~metrics:m ~spans:s ~engine ~limit () in
+  let instrumented = trace_prefix ~metrics:m ~spans:s ~build ~limit () in
   let rec compare i = function
     | [], [] -> ()
     | g :: _, [] | [], g :: _ ->
@@ -384,8 +392,8 @@ let () =
       ( "non-perturbation",
         [
           Alcotest.test_case "fast engine trace identical" `Quick
-            (test_telemetry_does_not_perturb Midrr_sim.Scenario.Engine_fast);
+            (test_telemetry_does_not_perturb fast_engine);
           Alcotest.test_case "ref engine trace identical" `Quick
-            (test_telemetry_does_not_perturb Midrr_sim.Scenario.Engine_ref);
+            (test_telemetry_does_not_perturb Midrr_oracle.Reference.sched_of);
         ] );
     ]

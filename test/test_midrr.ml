@@ -2,6 +2,7 @@
    behavior, and the deficit/fairness bounds of Section 4. *)
 
 open Midrr_core
+open Midrr_oracle
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
 module Maxmin = Midrr_flownet.Maxmin
@@ -328,12 +329,12 @@ let test_lemma6_service_bound () =
     (Netsim.Backlogged { pkt_size = 1500 });
   (* Skip the convergence transient, then measure cumulative service. *)
   let window = ref None in
-  Netsim.at sim 5.0 (fun () -> window := Some (Metrics.start sched));
+  Netsim.at sim 5.0 (fun () -> window := Some (Fairness.start sched));
   Netsim.run sim ~until:65.0;
   let window = Option.get !window in
   let phi = function 1 -> 2.0 | _ -> 1.0 in
-  let fm = Metrics.fm_between window sched ~phi ~i:1 ~j:2 in
-  let s_b = Metrics.service_since window sched 1 in
+  let fm = Fairness.fm_between window sched ~phi ~i:1 ~j:2 in
+  let s_b = Fairness.service_since window sched 1 in
   if s_b < 40_000_000 then Alcotest.failf "too little service: %d" s_b;
   (* Bound: one quantum per interface per flow plus two max packets, with
      2x slack for the shared-cluster drift across both interfaces. *)

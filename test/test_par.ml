@@ -76,7 +76,7 @@ let test_sweep_jobs_identical () =
   let scenarios = [ ("fig6", fig6 ()) ] in
   let seeds = Array.to_list (Par.split_seeds ~seed:42 3) in
   let engines =
-    [ Midrr_sim.Scenario.Engine_fast; Midrr_sim.Scenario.Engine_ref ]
+    [ Midrr_sim.Scenario.Engine_fast; Midrr_sim.Scenario.Engine_sharded 2 ]
   in
   let render jobs =
     Midrr_sim.Sweep.render
@@ -90,6 +90,35 @@ let test_sweep_jobs_identical () =
         (Printf.sprintf "jobs=%d output identical to jobs=1" jobs)
         base (render jobs))
     [ 2; 4 ]
+
+(* Every sweep point's report must equal a serial run of the same
+   scenario and seed on the reference engine from the test oracle, so
+   the grid's engines stay pinned to the spec. *)
+let test_sweep_matches_reference () =
+  let scenario = fig6 () in
+  let seeds = Array.to_list (Par.split_seeds ~seed:42 2) in
+  let engines =
+    [ Midrr_sim.Scenario.Engine_fast; Midrr_sim.Scenario.Engine_sharded 2 ]
+  in
+  let outcomes =
+    Midrr_sim.Sweep.run ~jobs:2 ~scenarios:[ ("fig6", scenario) ] ~seeds
+      ~engines ()
+  in
+  Array.iter
+    (fun (o : Midrr_sim.Sweep.outcome) ->
+      let reference =
+        Midrr_sim.Scenario.run ~seed:o.p_seed
+          ~sched:(Midrr_oracle.Reference.sched_of scenario)
+          scenario
+      in
+      let expected =
+        Format.asprintf "%a" Midrr_sim.Scenario.pp_report reference
+      in
+      if not (String.ends_with ~suffix:expected o.rendered) then
+        Alcotest.failf
+          "seed=%d engine=%s differs from the reference:\n%s\nvs\n%s"
+          o.p_seed o.p_engine o.rendered expected)
+    outcomes
 
 (* The fig6 event trace — the golden-trace observable — captured by
    concurrent domains each running its own simulation must equal the
@@ -138,6 +167,8 @@ let () =
         [
           Alcotest.test_case "sweep identical at jobs 1/2/4" `Slow
             test_sweep_jobs_identical;
+          Alcotest.test_case "sweep points match the reference engine" `Slow
+            test_sweep_matches_reference;
           Alcotest.test_case "fig6 trace identical under parallel capture"
             `Slow test_trace_parallel_identical;
         ] );

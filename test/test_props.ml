@@ -2,6 +2,7 @@
    instances, plus model-based checks of the core data structures. *)
 
 open Midrr_core
+open Midrr_oracle
 module Netsim = Midrr_sim.Netsim
 module Link = Midrr_sim.Link
 module Instance = Midrr_flownet.Instance

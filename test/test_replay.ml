@@ -12,9 +12,9 @@
    The suite prints the replayability table (the report the issue asks
    for) and asserts the structural facts that must hold however the
    fractions land: self-replay of a replayed schedule is a fixed point,
-   the substrate's WFQ is exactly as replayable as the bespoke one (they
-   emit identical schedules), and every recorded schedule is non-trivial
-   on these always-busy topologies. *)
+   the shipped substrate WFQ is exactly as replayable as the bespoke one
+   in the test oracle (they emit identical schedules), and every recorded
+   schedule is non-trivial on these always-busy topologies. *)
 
 open Midrr_core
 module Scenario = Midrr_sim.Scenario
@@ -35,10 +35,8 @@ let record_run scenario make =
   ignore (Scenario.run ~seed:1 ~sched:(fun () -> sched) scenario);
   finish ()
 
-let replayability scenario spec =
-  let golden =
-    record_run scenario (fun () -> Scenario.make_sched spec)
-  in
+let replayability scenario make =
+  let golden = record_run scenario make in
   let candidate =
     record_run scenario (fun () -> Replay.sched golden)
   in
@@ -54,7 +52,9 @@ let report_table () =
       List.iter
         (fun name ->
           let spec = Option.get (Scenario.sched_of_name name) in
-          let golden, _, comp = replayability scenario spec in
+          let golden, _, comp =
+            replayability scenario (fun () -> Scenario.make_sched spec)
+          in
           Printf.printf "  %-10s %5d serves, %5d in prefix, %.3f%s\n" name
             (Array.length golden) comp.Replay.matched (Replay.fraction comp)
             (if comp.Replay.exact then "  (exact)" else ""))
@@ -81,14 +81,21 @@ let self_replay_fixed_point () =
           (Filename.basename path) comp.Replay.matched comp.Replay.golden_total)
     scenario_paths
 
-(* The substrate WFQ and the bespoke WFQ are lockstep-equal, so their
-   golden schedules — and hence their replayability — must coincide. *)
+(* The substrate WFQ (what [wfq] resolves to) and the bespoke WFQ are
+   lockstep-equal, so their golden schedules — and hence their
+   replayability — must coincide. *)
 let wfq_substrate_agrees () =
   List.iter
     (fun path ->
       let scenario = load path in
-      let _, _, bespoke = replayability scenario Scenario.Sched_wfq in
-      let _, _, substrate = replayability scenario Scenario.Sched_pifo_wfq in
+      let _, _, bespoke =
+        replayability scenario (fun () ->
+            Midrr_oracle.Reference.sched Scenario.Sched_wfq)
+      in
+      let _, _, substrate =
+        replayability scenario (fun () ->
+            Scenario.make_sched Scenario.Sched_wfq)
+      in
       Alcotest.(check int)
         "golden sizes equal" bespoke.Replay.golden_total
         substrate.Replay.golden_total;

@@ -13,6 +13,7 @@
       strict priority, SRPT, EDF, LSTF. *)
 
 open Midrr_core
+open Midrr_oracle
 module Event = Midrr_obs.Event
 module Packed = Sched_intf.Packed
 

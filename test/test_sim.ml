@@ -436,7 +436,96 @@ let test_scenario_parse_errors () =
   (* no iface / no run *)
   check_err "iface 1 constant 1Mb\nflow a ifaces=1 backlogged pkt=5";
   check_err "bogus directive\nrun 5";
-  check_err "iface 1 steps 1Mb 5:bad\nrun 5"
+  check_err "iface 1 steps 1Mb 5:bad\nrun 5";
+  (* Inputs that used to crash the run, hang it or be accepted with a
+     silently wrong meaning: each must be rejected at parse time, naming
+     the offending line. *)
+  let flow = "flow a weight=1 ifaces=1 backlogged pkt=1500" in
+  let check_line lineno lines =
+    let text = String.concat "\n" lines in
+    match Scenario.parse text with
+    | Ok _ -> Alcotest.failf "expected parse error for %S" text
+    | Error e ->
+        let prefix = Printf.sprintf "line %d: " lineno in
+        if not (String.starts_with ~prefix e) then
+          Alcotest.failf "%S: error %S does not start with %S" text e prefix
+  in
+  List.iter
+    (fun (lineno, lines) -> check_line lineno lines)
+    [
+      (1, [ "iface 1 constant -3Mb"; flow; "run 5" ]);
+      (1, [ "iface 1 constant nan"; flow; "run 5" ]);
+      (2, [ "iface 1 constant 3Mb"; "iface 1 constant 2Mb"; flow; "run 5" ]);
+      (3, [ "iface 1 constant 3Mb"; flow; "at 5 weight zz 2"; "run 10" ]);
+      (3, [ "iface 1 constant 3Mb"; flow; "at -1 weight a 2"; "run 10" ]);
+      ( 2,
+        [
+          "iface 1 constant 3Mb";
+          "flow a weight=1 ifaces=7 backlogged pkt=1500";
+          "run 5";
+        ] );
+      (3, [ "iface 1 constant 3Mb"; flow; "at 5 allow a 9"; "run 10" ]);
+      ( 2,
+        [
+          "iface 1 constant 3Mb";
+          "flow a weight=1 ifaces=1,1 backlogged pkt=1500";
+          "run 5";
+        ] );
+      ( 2,
+        [
+          "iface 1 constant 3Mb";
+          "flow a weight=1 ifaces=1,x backlogged pkt=1500";
+          "run 5";
+        ] );
+      (3, [ "iface 1 constant 3Mb"; flow; flow; "run 5" ]);
+      (3, [ "iface 1 constant 3Mb"; flow; "run inf" ]);
+      ( 2,
+        [
+          "iface 1 constant 3Mb";
+          "flow a weight=inf ifaces=1 backlogged pkt=1500";
+          "run 5";
+        ] );
+      ( 2,
+        [
+          "iface 1 constant 3Mb";
+          "flow a weight=1 ifaces=1 cbr rate=inf pkt=1500";
+          "run 5";
+        ] );
+      (3, [ "iface 1 constant 3Mb"; flow; "measure 0 inf"; "run 5" ]);
+      (3, [ "iface 1 constant 3Mb"; flow; "at nan weight a 2"; "run 5" ]);
+      (3, [ "iface 1 constant 3Mb"; flow; "at 2 weight a inf"; "run 5" ]);
+      (1, [ "iface 1 steps 3Mb inf:1Mb"; flow; "run 5" ]);
+      (* and the same family: a window past the horizon, a negative window
+         start, a bad counter= and events on a stopped flow *)
+      (3, [ "iface 1 constant 3Mb"; flow; "measure 2 50"; "run 5" ]);
+      (3, [ "iface 1 constant 3Mb"; flow; "measure -5 3"; "run 5" ]);
+      (1, [ "scheduler midrr counter=0"; "iface 1 constant 3Mb"; flow ]);
+      (1, [ "scheduler midrr counter=x"; "iface 1 constant 3Mb"; flow ]);
+      ( 4,
+        [
+          "iface 1 constant 3Mb"; flow; "at 2 stop a"; "at 3 weight a 2"; "run 5";
+        ] );
+      ( 4,
+        [ "iface 1 constant 3Mb"; flow; "at 2 stop a"; "at 2 stop a"; "run 5" ]
+      );
+    ];
+  (* a reference may precede its declaration, and an event on a flow
+     before (or in the same instant as, earlier in the file) its stop is
+     fine *)
+  match
+    Scenario.parse
+      (String.concat "\n"
+         [
+           "at 1 weight a 2";
+           flow;
+           "at 2 deny a 1";
+           "at 2 stop a";
+           "iface 1 constant 3Mb";
+           "run 5";
+         ])
+  with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "valid scenario rejected: %s" e
 
 let test_scenario_units () =
   let text =
@@ -453,67 +542,6 @@ run 20
       match report.windows with
       | [ w ] -> close ~tol:0.05 "kb suffix" 0.5 (List.assoc "a" w.rates)
       | _ -> Alcotest.fail "expected one window")
-
-(* --- Tracer ---------------------------------------------------------------- *)
-
-module Tracer = Midrr_sim.Tracer
-
-let test_tracer_captures_events () =
-  let sched = Midrr.packed (Midrr.create ()) in
-  let sim = Netsim.create ~sched () in
-  let tracer = Tracer.create () in
-  Tracer.attach tracer sim;
-  Netsim.add_iface sim 0 (Link.constant (Types.mbps 8.0));
-  Netsim.add_flow sim 0 ~weight:1.0 ~allowed:[ 0 ]
-    (Netsim.Finite { total_bytes = 10_000; pkt_size = 1000 });
-  Netsim.run sim ~until:2.0;
-  Alcotest.(check int) "ten events" 10 (Tracer.length tracer);
-  Alcotest.(check int) "no drops" 0 (Tracer.dropped tracer);
-  Alcotest.(check (list (pair int int)))
-    "per-flow bytes" [ (0, 10_000) ]
-    (Tracer.bytes_per_flow tracer);
-  (* Events are time-ordered. *)
-  let times = List.map (fun (e : Tracer.event) -> e.time) (Tracer.events tracer) in
-  Alcotest.(check bool) "sorted" true (List.sort compare times = times)
-
-let test_tracer_ring_wraps () =
-  let tracer = Tracer.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Tracer.record tracer
-      { Tracer.time = Float.of_int i; iface = 0; flow = i; bytes = 1 }
-  done;
-  Alcotest.(check int) "capacity bound" 4 (Tracer.length tracer);
-  Alcotest.(check int) "drops counted" 6 (Tracer.dropped tracer);
-  Alcotest.(check (list int)) "keeps newest" [ 7; 8; 9; 10 ]
-    (List.map (fun (e : Tracer.event) -> e.flow) (Tracer.events tracer))
-
-let test_tracer_interleaving () =
-  let sched = Midrr.packed (Midrr.create ()) in
-  let sim = Netsim.create ~sched () in
-  let tracer = Tracer.create () in
-  Tracer.attach tracer sim;
-  Netsim.add_iface sim 0 (Link.constant (Types.mbps 8.0));
-  Netsim.add_flow sim 0 ~weight:1.0 ~allowed:[ 0 ]
-    (Netsim.Backlogged { pkt_size = 1500 });
-  Netsim.add_flow sim 1 ~weight:1.0 ~allowed:[ 0 ]
-    (Netsim.Backlogged { pkt_size = 1500 });
-  Netsim.run sim ~until:5.0;
-  (* With equal 1500 B quanta and packets, DRR alternates strictly. *)
-  let pattern = Tracer.interleaving tracer ~iface:0 in
-  let rec alternates = function
-    | a :: (b :: _ as rest) -> a <> b && alternates rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "strict alternation" true (alternates pattern);
-  if List.length pattern < 100 then Alcotest.fail "too few turns traced"
-
-let test_tracer_window_filter () =
-  let tracer = Tracer.create () in
-  List.iter
-    (fun time -> Tracer.record tracer { Tracer.time; iface = 0; flow = 0; bytes = 1 })
-    [ 0.5; 1.5; 2.5; 3.5 ];
-  Alcotest.(check int) "windowed" 2
-    (List.length (Tracer.between tracer ~t0:1.0 ~t1:3.0))
 
 let () =
   Alcotest.run "sim"
@@ -563,14 +591,6 @@ let () =
           Alcotest.test_case "allow event" `Quick test_scenario_allow_event;
           Alcotest.test_case "parse errors" `Quick test_scenario_parse_errors;
           Alcotest.test_case "rate units" `Quick test_scenario_units;
-        ] );
-      ( "tracer",
-        [
-          Alcotest.test_case "captures events" `Quick
-            test_tracer_captures_events;
-          Alcotest.test_case "ring wraps" `Quick test_tracer_ring_wraps;
-          Alcotest.test_case "interleaving" `Quick test_tracer_interleaving;
-          Alcotest.test_case "window filter" `Quick test_tracer_window_filter;
         ] );
       ( "netsim",
         [

@@ -3,7 +3,6 @@
 module Rng = Midrr_stats.Rng
 module Summary = Midrr_stats.Summary
 module Cdf = Midrr_stats.Cdf
-module Histogram = Midrr_stats.Histogram
 module Ewma = Midrr_stats.Ewma
 module Timeseries = Midrr_stats.Timeseries
 
@@ -236,38 +235,6 @@ let test_cdf_rejects_empty () =
     (Invalid_argument "Cdf.of_weighted: zero total weight") (fun () ->
       ignore (Cdf.of_weighted [ (1.0, 0.0) ]))
 
-(* --- Histogram ---------------------------------------------------------- *)
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  Histogram.add h 0.0;
-  Histogram.add h 0.5;
-  Histogram.add h 9.99;
-  Histogram.add h (-1.0);
-  Histogram.add h 10.0;
-  Alcotest.(check int) "bin 0" 2 (Histogram.bin_count h 0);
-  Alcotest.(check int) "bin 9" 1 (Histogram.bin_count h 9);
-  Alcotest.(check int) "underflow" 1 (Histogram.underflow h);
-  Alcotest.(check int) "overflow" 1 (Histogram.overflow h);
-  Alcotest.(check int) "total" 5 (Histogram.count h)
-
-let test_histogram_edges () =
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~bins:4 in
-  let lo, hi = Histogram.bin_edges h 2 in
-  close "edge lo" 0.5 lo;
-  close "edge hi" 0.75 hi
-
-let test_histogram_density_sums_to_one () =
-  let h = Histogram.create ~lo:0.0 ~hi:1.0 ~bins:8 in
-  let rng = Rng.create ~seed:13 in
-  for _ = 1 to 1000 do
-    Histogram.add h (Rng.float rng)
-  done;
-  let total =
-    Array.fold_left (fun acc (_, d) -> acc +. d) 0.0 (Histogram.to_density h)
-  in
-  close ~tol:1e-9 "density total" 1.0 total
-
 (* --- Ewma --------------------------------------------------------------- *)
 
 let test_ewma_converges () =
@@ -413,17 +380,6 @@ let test_loghist_merge_geometry () =
     (Invalid_argument "Log_histogram.merge_into: geometry mismatch") (fun () ->
       Log_histogram.merge_into ~src:a ~dst:b)
 
-let test_histogram_nan_cell () =
-  let h = Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  Histogram.add h 5.0;
-  Histogram.add h Float.nan;
-  Alcotest.(check int) "nan cell" 1 (Histogram.nan_count h);
-  Alcotest.(check int) "count includes nan" 2 (Histogram.count h);
-  (* the NaN must not be silently binned (int_of_float nan = 0) *)
-  Alcotest.(check int) "bin 0 untouched" 0 (Histogram.bin_count h 0);
-  Alcotest.(check int) "no underflow" 0 (Histogram.underflow h);
-  Alcotest.(check int) "no overflow" 0 (Histogram.overflow h)
-
 (* --- Log_histogram properties (qcheck) ----------------------------------- *)
 
 let positive_samples_gen =
@@ -553,14 +509,6 @@ let () =
           Alcotest.test_case "merges duplicates" `Quick
             test_cdf_merges_duplicates;
           Alcotest.test_case "rejects empty" `Quick test_cdf_rejects_empty;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "edges" `Quick test_histogram_edges;
-          Alcotest.test_case "density" `Quick
-            test_histogram_density_sums_to_one;
-          Alcotest.test_case "nan cell" `Quick test_histogram_nan_cell;
         ] );
       ( "log_histogram",
         [
