@@ -83,10 +83,6 @@ let run_scenario ?trace ?metrics_out ~metrics_interval ?chrome_trace ~top
             Format.eprintf "trace error: %s@." e;
             exit 1)
   in
-  if metrics_interval <= 0.0 then begin
-    Format.eprintf "metrics error: --metrics-interval must be > 0@.";
-    exit 1
-  end;
   (* The telemetry plane: a bus-fold registry when any consumer wants
      it, span tracing when a Chrome trace was requested. *)
   let metrics =
@@ -221,6 +217,28 @@ let run_all ~quick ?csv () =
 
 (* --- terms ---------------------------------------------------------- *)
 
+(* Numeric flags that size or time something: a value outside the
+   accepted range is a command-line error (exit 124, naming the flag),
+   not an exception or a hang deeper in the run. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected an integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let pos_finite_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | Some _ ->
+        Error (`Msg (Printf.sprintf "%S is not a finite positive number" s))
+    | None -> Error (`Msg (Printf.sprintf "invalid value %S, expected a number" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let quick =
   Arg.(value & flag & info [ "quick" ] ~doc:"Reduce sample counts for speed.")
 
@@ -235,7 +253,7 @@ let seed =
 
 let days =
   Arg.(
-    value & opt float 7.0
+    value & opt pos_finite_float 7.0
     & info [ "days" ] ~docv:"DAYS" ~doc:"Trace length in days.")
 
 let csv =
@@ -344,7 +362,7 @@ let metrics_out =
 let metrics_interval =
   Arg.(
     value
-    & opt float 1.0
+    & opt pos_finite_float 1.0
     & info [ "metrics-interval" ] ~docv:"SECONDS"
         ~doc:
           "Simulation-time period between metrics exports and $(b,--top) \
@@ -377,13 +395,11 @@ let engine_tag_conv =
 
 let resolve_engine ~shards = function
   | `Fast -> Midrr_sim.Scenario.Engine_fast
-  | `Sharded ->
-      if shards < 1 then failwith "--shards must be >= 1";
-      Midrr_sim.Scenario.Engine_sharded shards
+  | `Sharded -> Midrr_sim.Scenario.Engine_sharded shards
 
 let shards_arg =
   Arg.(
-    value & opt int 4
+    value & opt pos_int 4
     & info [ "shards" ] ~docv:"N"
         ~doc:
           "Shard count for $(b,--engine sharded): the fast engine is \
@@ -475,7 +491,7 @@ let sweep_files =
 let jobs =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Run grid points on $(docv) domains (default: the machine's \
@@ -492,7 +508,7 @@ let sweep_seeds =
 let sweep_nseeds =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some pos_int) None
     & info [ "nseeds" ] ~docv:"N"
         ~doc:
           "Derive $(docv) seeds from the master $(b,--seed) via RNG \

@@ -3,6 +3,7 @@ open Midrr_core
 type port = {
   local : Vif.addr;
   gateway : Vif.addr;
+  sum : int;  (* [Vif.addr_sum] of local -> gateway, fixed per port *)
   mutable tx_frames : int;
 }
 
@@ -32,9 +33,13 @@ let create ?(vif_addr = default_vif) ?sink ~sched () =
 
 let vif_addr t = t.vif
 
-let add_port t j ~local ~gateway =
+let add_port t j ~(local : Vif.addr) ~(gateway : Vif.addr) =
   if Hashtbl.mem t.ports j then invalid_arg "Bridge.add_port: duplicate";
-  Hashtbl.replace t.ports j { local; gateway; tx_frames = 0 };
+  let sum =
+    Vif.addr_sum ~src_mac:local.mac ~src_ip:local.ip ~dst_mac:gateway.mac
+      ~dst_ip:gateway.ip
+  in
+  Hashtbl.replace t.ports j { local; gateway; sum; tx_frames = 0 };
   Sched_intf.Packed.add_iface t.sched j
 
 let remove_port t j =
@@ -44,7 +49,7 @@ let remove_port t j =
   end
 
 let ports t =
-  Hashtbl.fold (fun j _ acc -> j :: acc) t.ports [] |> List.sort compare
+  Hashtbl.fold (fun j _ acc -> j :: acc) t.ports [] |> List.sort Int.compare
 
 let register_flow t ~flow ?(weight = 1.0) ~allowed () =
   Sched_intf.Packed.add_flow t.sched ~flow ~weight ~allowed
@@ -52,25 +57,30 @@ let register_flow t ~flow ?(weight = 1.0) ~allowed () =
 let send t pkt = Sched_intf.Packed.enqueue t.sched pkt
 
 let transmit t j =
-  match Hashtbl.find_opt t.ports j with
-  | None -> invalid_arg "Bridge.transmit: unknown port"
-  | Some port -> (
+  match Hashtbl.find t.ports j with
+  | exception Not_found -> invalid_arg "Bridge.transmit: unknown port"
+  | port -> (
       match Sched_intf.Packed.next_packet t.sched j with
       | None -> None
       | Some pkt ->
           (* The application addressed the packet to the virtual interface;
-             rewrite to the physical port's addresses before emission. *)
-          let virtual_frame = Vif.make ~src:t.vif ~dst:t.vif pkt in
-          let frame =
-            Vif.rewrite virtual_frame ~src:port.local ~dst:port.gateway
-          in
+             emit it with the physical port's addresses.  Only the payload
+             length varies per frame, so the checksum is the port's
+             address sum with the length folded in. *)
           t.rewrites <- t.rewrites + 1;
           port.tx_frames <- port.tx_frames + 1;
-          Some frame)
+          Some
+            {
+              Vif.src = port.local;
+              dst = port.gateway;
+              payload = pkt;
+              checksum =
+                Vif.checksum_of_sum port.sum ~payload_len:pkt.Packet.size;
+            })
 
 let tx_frames t j =
-  match Hashtbl.find_opt t.ports j with
-  | None -> invalid_arg "Bridge.tx_frames: unknown port"
-  | Some port -> port.tx_frames
+  match Hashtbl.find t.ports j with
+  | exception Not_found -> invalid_arg "Bridge.tx_frames: unknown port"
+  | port -> port.tx_frames
 
 let rewrites t = t.rewrites

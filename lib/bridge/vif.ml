@@ -1,7 +1,7 @@
 type addr = { mac : int64; ip : int32 }
 
 let addr ~mac ~ip =
-  if Int64.logand mac 0xFFFF_0000_0000_0000L <> 0L then
+  if not (Int64.equal (Int64.logand mac 0xFFFF_0000_0000_0000L) 0L) then
     invalid_arg "Vif.addr: MAC wider than 48 bits";
   { mac; ip }
 
@@ -12,36 +12,41 @@ type frame = {
   checksum : int;
 }
 
-(* 16-bit ones'-complement sum over the header words, the way IPv4 header
-   checksums are computed. *)
+(* The header checksum is the 16-bit ones'-complement sum of its words,
+   the way IPv4 header checksums are computed.  That sum does not depend
+   on word order, so it is taken in plain int arithmetic: add the words,
+   then fold the carries back in.  Only [Int64.to_int]/[Int32.to_int] and
+   [Int64.compare] touch the boxed fields, none of which allocates. *)
+
+(* Sum of the four 16-bit words of a 64-bit value.  [Int64.to_int] keeps
+   bits 0..62; bit 63 is the sign. *)
+let sum64 v =
+  let i = Int64.to_int v in
+  (i land 0xFFFF)
+  + ((i lsr 16) land 0xFFFF)
+  + ((i lsr 32) land 0xFFFF)
+  + ((i lsr 48) land 0x7FFF)
+  + if Int64.compare v 0L < 0 then 0x8000 else 0
+
+(* Sum of the two 16-bit words of a 32-bit value. *)
+let sum32 v =
+  let i = Int32.to_int v land 0xFFFF_FFFF in
+  (i land 0xFFFF) + (i lsr 16)
+
+(* End-around carry until the sum fits 16 bits.  The result is 0 only for
+   an all-zero sum, as with word-by-word folding. *)
+let rec fold s = if s > 0xFFFF then fold ((s land 0xFFFF) + (s lsr 16)) else s
+
+let addr_sum ~src_mac ~src_ip ~dst_mac ~dst_ip =
+  fold (sum64 src_mac + sum64 dst_mac + sum32 src_ip + sum32 dst_ip)
+
+let checksum_of_sum sum ~payload_len =
+  lnot (fold (sum + (payload_len land 0xFFFF))) land 0xFFFF
+
 let header_checksum ~src ~dst ~payload_len =
-  let words = ref [] in
-  let push64 v =
-    for shift = 0 to 3 do
-      words :=
-        Int64.to_int (Int64.logand (Int64.shift_right_logical v (16 * shift)) 0xFFFFL)
-        :: !words
-    done
-  in
-  let push32 v =
-    words := Int32.to_int (Int32.logand v 0xFFFFl) :: !words;
-    words :=
-      Int32.to_int (Int32.logand (Int32.shift_right_logical v 16) 0xFFFFl)
-      :: !words
-  in
-  push64 src.mac;
-  push64 dst.mac;
-  push32 src.ip;
-  push32 dst.ip;
-  words := payload_len land 0xFFFF :: !words;
-  let sum =
-    List.fold_left
-      (fun acc w ->
-        let s = acc + w in
-        (s land 0xFFFF) + (s lsr 16))
-      0 !words
-  in
-  lnot sum land 0xFFFF
+  checksum_of_sum
+    (addr_sum ~src_mac:src.mac ~src_ip:src.ip ~dst_mac:dst.mac ~dst_ip:dst.ip)
+    ~payload_len
 
 let make ~src ~dst payload =
   {
@@ -63,9 +68,9 @@ let rewrite frame ~src ~dst =
   }
 
 let checksum_valid frame =
-  frame.checksum
-  = header_checksum ~src:frame.src ~dst:frame.dst
-      ~payload_len:frame.payload.Midrr_core.Packet.size
+  Int.equal frame.checksum
+    (header_checksum ~src:frame.src ~dst:frame.dst
+       ~payload_len:frame.payload.Midrr_core.Packet.size)
 
 let pp_addr ppf a = Format.fprintf ppf "%012Lx/%08lx" a.mac a.ip
 

@@ -48,6 +48,8 @@ let default =
         "lib/netcalc/arrival";
         "lib/netcalc/service";
         "lib/netcalc/bound";
+        "lib/bridge/vif";
+        "lib/bridge/bridge";
       ];
     float_sensitive_dirs = [ "lib/flownet"; "lib/stats" ];
     warning_allowlist = [];
@@ -92,6 +94,11 @@ let default =
            plus one atomic cursor bump, a pop the mirror image *)
         "Spsc.try_push";
         "Spsc.try_pop";
+        (* the bridge's per-frame checksum: integer word sums over the
+           address fields, the port's sum computed once in add_port *)
+        "Vif.header_checksum";
+        "Vif.addr_sum";
+        "Vif.checksum_of_sum";
       ];
     (* R8 roots: display-name suffixes recognized as the parallel
        executor's task-accepting entry points. *)
